@@ -243,7 +243,7 @@ def _replay(args) -> int:
             batches += 1
             if checkpoint.exhausted:
                 break
-        print(f"  backfill     {checkpoint.published} ingest entries "
+        print(f"  backfill     {checkpoint.published} ingest envelopes "
               f"re-published in {batches} batches of <= {args.backfill}")
     if not verdict["match"]:
         diverged = [name for name, doc in sorted(verdict["shards"].items())

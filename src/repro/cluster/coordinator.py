@@ -839,9 +839,9 @@ class ClusterCoordinator(Endpoint):
         and no latency, preserving the monolith's timing exactly.
         """
         protocol = message.headers.get("protocol")
-        if protocol == "stream-data" or protocol == "stream-batch":
-            # Batch envelopes carry their (single) originating device at
-            # the payload top level, so both shapes route identically.
+        if protocol == "stream-batch":
+            # A record envelope carries its (single) originating device
+            # at the payload top level.
             device_id = message.payload.get("device_id")
             shard = self.shard_for_device(device_id) \
                 if device_id is not None else self._mono

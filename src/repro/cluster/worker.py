@@ -95,7 +95,7 @@ class ShardWorker(ServerSenSocialManager):
         while len(admission):
             item = admission.pop()
             try:
-                self._apply_intake(item)
+                self._ingest_durable_batch(item)
             except StorageWriteError:
                 item.attempts += 1
                 if item.attempts >= self.durability.config.max_apply_attempts:

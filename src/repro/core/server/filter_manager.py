@@ -84,32 +84,23 @@ class ServerFilterManager:
                 user_context[virtual] = record.value
                 self._invalidate(record.user_id, virtual)
 
-    def observe_batch(self, batch) -> None:
-        """Columnar :meth:`observe_record`: fold a whole batch into the
-        context without materializing record objects."""
-        # Mutation-for-mutation identical to observe_record per
-        # reconstructed record in batch order — the batched ingest
-        # fast path uses it when nothing downstream needs the records,
-        # so the context (and every later gate verdict) cannot tell
-        # the two apart.
-        modality_of: dict[str, ModalityType] = {}
+    def observe_batch(self, records) -> None:
+        """:meth:`observe_record` over an envelope's records, in order,
+        with the per-call overhead hoisted out of the loop."""
         context = self._context
-        classified = Granularity.CLASSIFIED.value
-        for user_id, wire_modality, value, granularity in zip(
-                batch.user_ids, batch.modalities, batch.values,
-                batch.granularities):
-            modality = modality_of.get(wire_modality)
-            if modality is None:
-                modality = modality_of[wire_modality] = (
-                    ModalityType(wire_modality))
+        invalidate = self._invalidate
+        classified = Granularity.CLASSIFIED
+        for record in records:
+            user_id, modality, value = (record.user_id, record.modality,
+                                        record.value)
             user_context = context.setdefault(user_id, {})
             user_context[modality] = value
-            self._invalidate(user_id, modality)
-            if granularity == classified:
+            invalidate(user_id, modality)
+            if record.granularity is classified:
                 virtual = _VIRTUAL_OF_SENSOR.get(modality)
                 if virtual is not None:
                     user_context[virtual] = value
-                    self._invalidate(user_id, virtual)
+                    invalidate(user_id, virtual)
 
     def observe_location(self, user_id: str, place: str | None) -> None:
         if place is not None:

@@ -29,8 +29,9 @@ entries and fingerprint-compare it against the live one.
 
 :class:`JournalBackfill` is the journal-as-history payoff: a bounded,
 idempotent re-publication of a seq window (e.g. every retained
-``ingest``) through a newly registered stream or filter, with a
-resumable progress checkpoint — the ``replay_backfill`` pattern.
+``ingest_batch`` record envelope) through a newly registered stream or
+filter, with a resumable progress checkpoint — the ``replay_backfill``
+pattern.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ class JournalBackfill:
     Walks the medium's *full* retained history (snapshot checkpoints
     do not hide frames), filters entries by op and collection, and
     hands each to ``publish`` — typically an adapter that pushes the
-    record through a newly registered stream or filter.  Progress
+    envelope's records through a newly registered stream or filter.  Progress
     lives in a :class:`BackfillCheckpoint`: re-running with the
     returned checkpoint resumes exactly where the last batch stopped
     and never re-publishes an entry, so a crashed backfill is safe to
@@ -225,29 +226,11 @@ class JournalBackfill:
     """
 
     def __init__(self, medium: StorageMedium, *,
-                 ops: Iterable[str] = ("ingest",),
+                 ops: Iterable[str] = ("ingest_batch",),
                  collection: str | None = None):
         self.medium = medium
         self.ops = frozenset(ops)
-        # Batched runs journal composite ``ingest_batch`` frames; a
-        # backfill asking for ingests must see those records too, each
-        # expanded to a synthetic singleton entry so ``publish``
-        # consumers keep their one-document contract.
-        if "ingest" in self.ops:
-            self.ops |= {"ingest_batch"}
         self.collection = collection
-
-    @staticmethod
-    def _expand(entry: JournalEntry) -> list[JournalEntry]:
-        if entry.op != "ingest_batch":
-            return [entry]
-        from repro.core.common.batch import RecordBatch
-        batch = RecordBatch.from_payload(entry.payload["batch"])
-        return [JournalEntry(seq=entry.seq, op="ingest",
-                             collection=entry.collection,
-                             payload={"document": document,
-                                      "record_id": batch.record_ids[index]})
-                for index, document in enumerate(batch.store_documents())]
 
     def _history(self) -> Iterable[JournalEntry]:
         data = self.medium.log_view()
@@ -296,8 +279,7 @@ class JournalBackfill:
             if limit is not None and batch >= limit:
                 return checkpoint  # bounded: resume from next_seq later
             if self._matches(entry):
-                for expanded in self._expand(entry):
-                    publish(expanded)
+                publish(entry)
                 checkpoint.published += 1
                 batch += 1
             else:

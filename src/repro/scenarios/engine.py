@@ -107,20 +107,23 @@ class ServerSink:
                 record.details.get("record_id", "")))
 
     def _on_message(self, message) -> None:
-        if message.headers.get("protocol") == "stream-ack":
-            self.acks += 1
+        if message.headers.get("protocol") == "stream-batch-ack":
+            self.acks += len(message.payload["record_ids"])
 
     def deliver(self, record_id: str, user_id: str, timestamp: float,
                 modality: str, value: dict) -> None:
+        from repro.core.common.batch import envelope
+
         self.delivered += 1
+        document = {"stream_id": f"scn-{user_id}", "user_id": user_id,
+                    "device_id": f"dev-{user_id}", "modality": modality,
+                    "granularity": "classified", "timestamp": timestamp,
+                    "value": value, "details": {"record_id": record_id},
+                    "osn_action": None, "record_id": record_id}
         self.network.send(
             self.GATEWAY, self.server.address,
-            {"stream_id": f"scn-{user_id}", "user_id": user_id,
-             "device_id": f"dev-{user_id}", "modality": modality,
-             "granularity": "classified", "timestamp": timestamp,
-             "value": value, "details": {"record_id": record_id},
-             "osn_action": None, "record_id": record_id},
-            headers={"protocol": "stream-data"})
+            envelope(document["device_id"], [document]),
+            headers={"protocol": "stream-batch"})
 
     def fingerprint(self) -> str:
         digest = blake2b(digest_size=16)

@@ -4,6 +4,7 @@ and the record-id/ack loop that makes ingest exactly-once."""
 import pytest
 
 from repro.core.common import Granularity, ModalityType
+from repro.core.common.batch import envelope
 from repro.core.mobile.outbox import Outbox
 from repro.core.server.dedup import RecordDeduper
 from repro.scenarios.testbed import SenSocialTestbed
@@ -123,7 +124,8 @@ class TestIdempotentIngest:
         payload["record_id"] = "alice-device-r1"
         testbed.server.dedup.seen("alice-device-r1")
         before = testbed.server.records_received
-        node.phone.send(testbed.server.address, "stream-data", payload)
+        node.phone.send(testbed.server.address, "stream-batch",
+                        envelope(node.phone.device_id, [payload]))
         testbed.run(5.0)
         assert testbed.server.records_received == before
         assert testbed.server.records_duplicate >= 1

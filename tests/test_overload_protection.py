@@ -4,6 +4,7 @@ the storage circuit breaker, and the dead-letter quarantine."""
 import pytest
 
 from repro.core.common import Granularity, ModalityType
+from repro.core.common.batch import envelope
 from repro.core.common.records import StreamRecord
 from repro.durability import (
     AdmissionController,
@@ -16,8 +17,9 @@ from repro.scenarios.testbed import SenSocialTestbed
 
 
 def item(record_id, priority=0, enqueued_at=0.0):
-    return IntakeItem(record_id=record_id, payload={}, record=None,
-                      reply_to=None, sent_at=None, trace=None,
+    """A one-record intake item (admission only reads ids/priority)."""
+    return IntakeItem(envelope=envelope("d1", [{"record_id": record_id}]),
+                      records=[], reply_to=None, sent_at=None,
                       priority=priority, enqueued_at=enqueued_at)
 
 
@@ -158,9 +160,10 @@ def make_payload(testbed, index, *, osn=False, modality="accelerometer"):
 
 
 def submit(testbed, payload):
-    testbed.server.durability.submit(
-        payload, reply_to=None, sent_at=None, trace=None,
-        record_id=payload["record_id"])
+    """Deliver ``payload`` as a one-record envelope to the durable path."""
+    testbed.server.durability.submit_batch(
+        envelope(payload["device_id"], [payload]), reply_to=None,
+        sent_at=None)
 
 
 class TestOverloadIntegration:
