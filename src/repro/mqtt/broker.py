@@ -317,7 +317,7 @@ class MqttBroker(Endpoint):
         self.publishes_received += 1
         payload = packet.payload
         if type(payload) is dict and "batch_wire" in payload:
-            # A columnar batch envelope (repro.core.common.batch): the
+            # A publish envelope (``MqttClient.publish_batch``): the
             # single trie walk below routes every record it carries.
             self.batch_publishes += 1
             self.batched_records_routed += payload.get("n", 1)

@@ -248,7 +248,7 @@ class MqttClient(Endpoint):
     def publish_batch(self, topic: str, payloads, qos: int = 0,
                       retain: bool = False,
                       on_ack: Callable[[], None] | None = None) -> None:
-        """Publish N payloads as one columnar batch envelope.
+        """Publish N payloads as one publish envelope.
 
         The broker walks the subscription trie once for the whole
         envelope instead of once per payload; subscribers receive the
