@@ -40,10 +40,10 @@ class RecordDeduper:
         """Per-id duplicate flags: the window run over a whole batch."""
         # Semantically identical to calling ``seen`` per id in order
         # (same counters, same final window contents, same flags) —
-        # the batched ingest path uses it so one call replaces N, with
-        # the dict lookups and the eviction bound hoisted out of the
-        # hot loop.  ``None`` ids (id-less payloads) are never deduped
-        # and flag fresh, matching the per-record path.
+        # the volatile envelope ingest uses it so one call replaces N,
+        # with the dict lookups and the eviction bound hoisted out of
+        # the hot loop.  ``None`` ids (id-less payloads) are never
+        # deduped and flag fresh.
         window = self._seen
         flags = []
         for record_id in record_ids:
@@ -107,7 +107,7 @@ class RecordDeduper:
         """The one bounded-eviction path: oldest-first to the bound."""
         # ``seen``/``remember``/``check_batch``/``merge_replicated``
         # all funnel through here so the bound can never drift between
-        # the singleton, batch and replication paths.
+        # the per-id, batch and replication paths.
         limit = self.window
         while len(window) > limit:
             window.popitem(last=False)
