@@ -440,17 +440,22 @@ class Collection:
     # -- snapshot / restore -------------------------------------------
 
     def snapshot(self) -> dict:
-        """Full recoverable state: documents, id counter, index specs."""
+        """Full recoverable state: documents, id counter, index specs.
+
+        A view, not a copy: ``documents`` holds the live stored
+        documents.  Encode it, or :meth:`restore` it (which copies),
+        before the next write to this collection.
+        """
         return {
-            "documents": [copy.deepcopy(document)
-                          for document in self._documents.values()],
+            "documents": list(self._documents.values()),
             "next_id": self._next_id,
             "indexes": [[index.path, index.unique]
                         for index in self._indexes.values()],
         }
 
     def restore(self, state: dict) -> None:
-        """Replace this collection's contents with ``state``."""
+        """Replace this collection's contents with a copy of ``state``,
+        so a restored snapshot never shares documents with its source."""
         self._documents.clear()
         self._indexes.clear()
         for path, unique in state.get("indexes", []):

@@ -31,7 +31,11 @@ class DocumentStore:
     # -- snapshot / restore -------------------------------------------
 
     def snapshot(self) -> dict:
-        """Full recoverable state of every collection."""
+        """Full recoverable state of every collection.
+
+        A view of the live documents (see :meth:`Collection.snapshot`):
+        encode it, or :meth:`restore` it, before the next write.
+        """
         return {"name": self.name,
                 "collections": {name: self._collections[name].snapshot()
                                 for name in self.collection_names()}}

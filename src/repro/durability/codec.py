@@ -283,5 +283,6 @@ def fingerprint(value: Any) -> str:
 
 
 def fingerprint_store(store) -> str:
-    """The divergence-oracle digest of a document store's full state."""
+    """The divergence-oracle digest of a document store's full state,
+    hashed straight from the store's snapshot view (no copy)."""
     return fingerprint(store.snapshot())

@@ -232,6 +232,9 @@ class StorageMedium:
     def store_snapshot(self, state: dict[str, Any]) -> None:
         """Checkpoint: persist ``state`` and advance the tail pointer.
 
+        ``state`` may be a view of live documents (a store snapshot):
+        it is encoded to bytes here, before any further write.
+
         With ``retain_history`` (the default) the folded frames stay on
         the log as replayable history; without it they are physically
         dropped — the pre-history behaviour — which forfeits the

@@ -126,16 +126,19 @@ class Gauge(Metric):
 class Histogram(Metric):
     """A distribution of observed values with quantile summaries.
 
-    Observations are kept (bounded by ``max_samples`` with
-    reservoir-free head truncation: min/max/count/sum stay exact, the
-    quantiles degrade gracefully) so per-run reports can compute real
-    percentiles rather than bucket approximations.
+    Observations are kept so per-run reports can compute real
+    percentiles rather than bucket approximations.  Past
+    ``max_samples`` the retained set is thinned by a deterministic
+    stride: every second retained sample is dropped and from then on
+    only every ``stride``-th observation (a power of two) is kept, so
+    the samples still span the whole stream and the quantiles stay
+    close to exact.  count/sum/min/max are always exact.
     """
 
     kind = "histogram"
 
-    #: Cap on retained samples; beyond it the oldest half is folded
-    #: away (count/sum/min/max remain exact).
+    #: Cap on retained samples; reaching past it halves the retained
+    #: set and doubles the stride (``truncated`` counts the discards).
     max_samples = 65536
 
     def __init__(self, name: str, labels: LabelSet):
@@ -145,21 +148,28 @@ class Histogram(Metric):
         self.min: float | None = None
         self.max: float | None = None
         self._values: list[float] = []
+        #: Observation ``i`` (0-based) is retained iff ``i % _stride``
+        #: is 0; the retained list always holds exactly those.
+        self._stride = 1
         self.truncated = 0
 
     def observe(self, value: float) -> None:
         value = float(value)
+        index = self.count
         self.count += 1
         self.sum += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+        if index % self._stride:
+            self.truncated += 1
+            return
         self._values.append(value)
         if len(self._values) > self.max_samples:
-            drop = len(self._values) // 2
-            del self._values[:drop]
-            self.truncated += drop
+            self.truncated += len(self._values) // 2
+            del self._values[1::2]
+            self._stride *= 2
 
     def percentile(self, q: float) -> float | None:
         """The ``q``-quantile (0..1) of the retained samples."""

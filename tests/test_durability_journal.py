@@ -12,6 +12,7 @@ from repro.durability import (
     StorageMedium,
     StorageWriteError,
     WriteAheadJournal,
+    fingerprint_store,
     replay,
 )
 
@@ -189,6 +190,34 @@ class TestSnapshotRestore:
         assert original_id == restored_id
         with pytest.raises(DuplicateKeyError):
             other["users"].insert_one({"user_id": "a"})
+
+    def test_restored_store_shares_no_documents(self):
+        """A snapshot is a view of the live documents; ``restore`` is
+        the side that copies, so writes on either store after a round
+        trip never show through in the other."""
+        store = DocumentStore()
+        users = store["users"]
+        users.insert_one({"user_id": "a", "place": {"city": "Paris"}})
+        users.insert_one({"user_id": "b", "tags": ["x"]})
+        other = DocumentStore()
+        other.restore(store.snapshot())
+
+        def view(target):
+            return (list(target["users"].find()),
+                    fingerprint_store(target))
+
+        frozen = view(other)
+        store["users"].update_one({"user_id": "a"},
+                                  {"$set": {"place.city": "Oslo"}})
+        store["users"].update_one({"user_id": "b"},
+                                  {"$push": {"tags": "y"}})
+        store["users"].delete_one({"user_id": "b"})
+        assert view(other) == frozen
+        frozen = view(store)
+        other["users"].update_one({"user_id": "a"},
+                                  {"$set": {"place.city": "Rome"}})
+        other["users"].delete_one({"user_id": "b"})
+        assert view(store) == frozen
 
 
 class TestWriteFaults:

@@ -69,6 +69,34 @@ class TestTelemetry:
         assert histogram.min == 0.0 and histogram.max == 19.0
         assert histogram.truncated > 0
 
+    @pytest.mark.parametrize("n", [200_000, 1_000_000])
+    def test_thinned_quantiles_span_the_whole_stream(self, n):
+        """Past the cap the retained samples are a stride sample of the
+        whole stream, not its newest tail (head truncation reported
+        p50 = 181,920 for 0..199,999)."""
+        histogram = Telemetry().histogram("long")
+        for value in range(n):
+            histogram.observe(value)
+        assert histogram.count == n
+        assert histogram.sum == sum(range(n))
+        assert histogram.min == 0.0 and histogram.max == n - 1
+        assert len(histogram._values) <= histogram.max_samples
+        assert histogram.truncated == n - len(histogram._values)
+        for q in (0.50, 0.95, 0.99):
+            exact = q * (n - 1)
+            assert abs(histogram.percentile(q) - exact) <= 0.01 * exact
+
+    def test_below_the_cap_every_sample_is_kept(self):
+        histogram = Telemetry().histogram("short")
+        values = [float((index * 7919) % 1000)
+                  for index in range(histogram.max_samples)]
+        for value in values:
+            histogram.observe(value)
+        assert histogram.truncated == 0
+        assert histogram._values == values
+        assert histogram.percentile(0.5) == sorted(values)[
+            round(0.5 * (len(values) - 1))]
+
     def test_timer_measures_virtual_durations(self):
         timer = Telemetry().timer("ack_delay")
         started = timer.start(10.0)
