@@ -12,6 +12,8 @@ across heap/wheel schedulers).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.scenarios import (
@@ -19,6 +21,7 @@ from repro.scenarios import (
     HibernationStore,
     Population,
     ScenarioEngine,
+    ScenarioSpec,
     get_scenario,
     run_scenario,
 )
@@ -135,41 +138,89 @@ class TestHibernationRoundtrip:
             device.surprise = 1
 
 
-class TestSubstrateIdentity:
-    """Eager vs streaming vs wheel: the bit-identity matrix."""
+def _tight_dtn() -> ScenarioSpec:
+    """``dtn-partition`` with a two-record carry buffer: the one spec
+    here whose buffers overflow, so its pin covers the drop path."""
+    spec = get_scenario("dtn-partition")
+    return dataclasses.replace(spec, connectivity=dataclasses.replace(
+        spec.connectivity, buffer_cap=2))
 
-    def _run(self, scenario, substrate, scheduler="heap", cap=8):
-        report = run_scenario(scenario, 50, seed=9, substrate=substrate,
-                              scheduler=scheduler, sink="server",
-                              active_cap=cap)
-        assert report["verify_problems"] == []
-        return (report["docstore_fingerprint"],
-                report["delivery_fingerprint"], report["emitted"],
-                report["delivered"], report["acks"])
+
+#: Golden outcome of each scenario at 50 devices, seed 9, into the
+#: server sink: delivery fingerprint, docstore fingerprint, emitted,
+#: delivered, buffered_residual, dropped, flushes, cascade_actions and
+#: acks.  Captured while the eager substrate and the resident LRU still
+#: existed; the eager run and the streaming runs at ``active_cap`` 2 and
+#: 4096 all produced these values, on the heap and on the wheel.
+GOLDEN = {
+    "city-day": (
+        "260f6af11a29a115f96e34ea13710693",
+        "084da4923ef085d8142263dc416188e4", 303, 303, 0, 0, 0, 0, 303),
+    "flash-crowd": (
+        "40a936222283d3f68267addd95388c6e",
+        "32d1aa511ab5acf2f4cf6a5cae0d3f15", 317, 317, 0, 0, 0, 0, 317),
+    "flash-crowd+chaos": (
+        "6c6b97e715df30c1a3434b3412146c83",
+        "4b8cbb9328f2b65be2dcd8b0148133f3", 317, 313, 4, 0, 7, 0, 313),
+    "viral-cascade": (
+        "03ec1b908b4cfbf830e460883b3ab856",
+        "f36f3b4d1858cc68609bf2d0c86aee65", 153, 153, 0, 0, 0, 23, 153),
+    "dtn-partition": (
+        "81c254ca8e00558932c71ca0df09a5c4",
+        "d98762d777615febb03bc5ff521d14e1", 284, 249, 35, 0, 20, 0, 249),
+    "dtn-partition+tight": (
+        "b48e26f67c664fbe51672d82e53cf5de",
+        "b7151292bbb7526d22afcfec1b5b7190", 284, 239, 27, 18, 20, 0, 239),
+}
+
+
+def _observed(label: str, scheduler: str = "heap", **kwargs) -> tuple:
+    """Run the pinned configuration ``label`` and return its outcome in
+    :data:`GOLDEN`'s field order."""
+    spec = _tight_dtn() if label == "dtn-partition+tight" \
+        else get_scenario(label.split("+")[0])
+    engine = ScenarioEngine(spec, 50, seed=9, scheduler=scheduler,
+                            sink="server", chaos=label.endswith("+chaos"),
+                            **kwargs)
+    report = engine.run()
+    assert engine.verify() == []
+    return (report["delivery_fingerprint"], report["docstore_fingerprint"],
+            report["emitted"], report["delivered"],
+            report["buffered_residual"], report["dropped"],
+            report["flushes"], report["cascade_actions"], report["acks"])
+
+
+class TestSubstrateIdentity:
+    """Every scenario, on heap and on wheel, against its golden pin."""
 
     def test_city_day_eager_equals_streaming(self):
-        eager = self._run("city-day", "eager")
-        streaming = self._run("city-day", "streaming")
-        assert eager == streaming
+        assert _observed("city-day", substrate="eager") \
+            == _observed("city-day") == GOLDEN["city-day"]
 
     def test_streaming_identical_under_residency_pressure(self):
         # cap=2 forces hibernation churn on nearly every event.
-        assert self._run("city-day", "streaming", cap=2) \
-            == self._run("city-day", "streaming", cap=32)
+        assert _observed("city-day", active_cap=2) == GOLDEN["city-day"]
 
     def test_wheel_equals_heap_on_scenario(self):
-        assert self._run("city-day", "streaming", scheduler="wheel") \
-            == self._run("city-day", "streaming", scheduler="heap")
+        assert _observed("city-day", scheduler="wheel") == GOLDEN["city-day"]
+
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_flash_crowd_matches_golden(self, scheduler):
+        for label in ("flash-crowd", "flash-crowd+chaos"):
+            assert _observed(label, scheduler) == GOLDEN[label], label
 
     def test_dtn_buffering_identical_across_substrates(self):
-        eager = self._run("dtn-partition", "eager")
-        streaming = self._run("dtn-partition", "streaming", cap=4)
-        assert eager == streaming
+        for label in ("dtn-partition", "dtn-partition+tight"):
+            for scheduler in ("heap", "wheel"):
+                assert _observed(label, scheduler, substrate="eager") \
+                    == _observed(label, scheduler, active_cap=4) \
+                    == GOLDEN[label], (label, scheduler)
 
     def test_cascade_identical_across_substrates(self):
-        eager = self._run("viral-cascade", "eager")
-        streaming = self._run("viral-cascade", "streaming", cap=4)
-        assert eager == streaming
+        for scheduler in ("heap", "wheel"):
+            assert _observed("viral-cascade", scheduler, substrate="eager") \
+                == _observed("viral-cascade", scheduler, active_cap=4) \
+                == GOLDEN["viral-cascade"], scheduler
 
 
 class TestScenarioLibrary:
