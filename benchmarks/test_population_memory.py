@@ -1,16 +1,15 @@
-"""Memory gate: resident bytes per device stay bounded at scale.
+"""Memory gate: traced bytes per device stay bounded at scale.
 
 The scale wall the population substrate breaks is a *memory* wall:
 eagerly materialized devices cost kilobytes each (objects, Mersenne
 RNGs, per-device periodic tasks), so 100k devices used to mean
-hundreds of megabytes before the first event fired.  The streaming
-substrate promises:
+hundreds of megabytes before the first event fired.  Here a device is
+its row in the columnar store and nothing else:
 
-* cold devices cost a fixed ~49 bytes each in the columnar
-  hibernation store (asserted exactly — it's arithmetic, not timing);
-* resident (hot) state is bounded by ``active_cap``, not population,
-  so total allocation grows *sublinearly*: a 10x population must cost
-  far less than 10x the traced memory.
+* each device costs exactly 49 bytes of columns (asserted exactly —
+  it's arithmetic, not timing);
+* the traced peak per device stays under a fixed ceiling at 10k and at
+  100k devices, so no per-device object can creep back in unnoticed.
 
 Measured with ``tracemalloc`` (Python-level allocations, deterministic
 across machines — no RSS noise) over compressed ``city-day`` runs.
@@ -20,40 +19,25 @@ from __future__ import annotations
 
 import tracemalloc
 
+import pytest
+
 from repro.scenarios import ScenarioEngine, get_scenario
 
-#: Population sizes compared by the sublinearity gate.
-SMALL, LARGE = 10_000, 100_000
-
-#: Cap on resident devices — identical at both sizes, so any
-#: population-proportional growth comes from the columnar store alone.
-ACTIVE_CAP = 2048
-
-#: Exact cold storage cost: 3x8B (rng state, lon, lat) + 1B flags
+#: Exact column cost: 3x8B (rng state, lon, lat) + 1B flags
 #: + 3x8B counters per device.
 COLD_BYTES_PER_DEVICE = 49
 
-#: A 10x population may cost at most this factor in traced peak
-#: memory.  Two linear-but-tiny terms remain — the 49 B/device
-#: columnar store and each admitted device's single pending
-#: EventHandle (~150 B) — diluted by the cap-bounded hot state, so the
-#: measured ratio sits near 6.5x; at 8x a kilobytes-per-device object
-#: leak has crept back in (eager measures ~10x with a far larger
-#: absolute peak).
-MAX_PEAK_GROWTH = 8.0
-
-#: Ceiling on traced peak bytes per device at the large size. The
-#: measured value is ~60-120 B/device (store + bounded actives +
-#: pending events); 400 B/device means something resident scales with
-#: the population again.
+#: Ceiling on traced peak bytes per device at every gated size.  The
+#: linear terms are the 49 B of columns and each device's single
+#: pending EventHandle (~150 B); 400 B/device means something resident
+#: scales with the population again.
 MAX_PEAK_BYTES_PER_DEVICE = 400.0
 
 
 def _traced_run(devices: int) -> tuple[int, dict]:
     """Peak tracemalloc bytes over a compressed city-day run."""
     engine = ScenarioEngine(get_scenario("city-day"), devices, seed=0,
-                            scheduler="wheel", events_per_device=1.0,
-                            active_cap=ACTIVE_CAP)
+                            scheduler="wheel", events_per_device=1.0)
     tracemalloc.start()
     try:
         report = engine.run()
@@ -64,57 +48,16 @@ def _traced_run(devices: int) -> tuple[int, dict]:
     return peak, report
 
 
-def test_population_memory_is_sublinear():
-    small_peak, small_report = _traced_run(SMALL)
-    large_peak, large_report = _traced_run(LARGE)
+@pytest.mark.parametrize("devices", [10_000, 100_000])
+def test_population_memory_per_device_bounded(devices):
+    peak, report = _traced_run(devices)
 
-    # Cold devices cost exactly their columnar scalars.
-    assert small_report["store_bytes_per_device"] == COLD_BYTES_PER_DEVICE
-    assert large_report["store_bytes_per_device"] == COLD_BYTES_PER_DEVICE
+    # Devices cost exactly their columnar scalars.
+    assert report["store_bytes_per_device"] == COLD_BYTES_PER_DEVICE
 
-    # Hot state is bounded by the cap at both sizes.
-    assert small_report["peak_active"] <= ACTIVE_CAP
-    assert large_report["peak_active"] <= ACTIVE_CAP
-
-    # The 10x population grows traced peak memory far less than 10x.
-    growth = large_peak / small_peak
-    assert growth <= MAX_PEAK_GROWTH, (
-        f"peak memory grew x{growth:.2f} for a x{LARGE // SMALL} "
-        f"population ({small_peak:,} -> {large_peak:,} B)")
-
-    per_device = large_peak / LARGE
+    per_device = peak / devices
     assert per_device <= MAX_PEAK_BYTES_PER_DEVICE, (
-        f"{per_device:.0f} traced B/device at {LARGE:,} devices")
+        f"{per_device:.0f} traced B/device at {devices:,} devices")
 
-    print(f"\npopulation memory: {SMALL:,} devices -> {small_peak:,} B peak, "
-          f"{LARGE:,} devices -> {large_peak:,} B peak "
-          f"(x{growth:.2f} growth, {per_device:.1f} B/device)")
-
-
-def test_eager_substrate_costs_objects():
-    """The baseline the streaming substrate exists to beat: eager
-    materialization allocates per-device objects, an order of magnitude
-    more traced memory per device than the columnar store."""
-    devices = 5_000
-    tracemalloc.start()
-    try:
-        engine = ScenarioEngine(get_scenario("city-day"), devices, seed=0,
-                                substrate="eager", events_per_device=1.0)
-        engine.run()
-        _, eager_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-
-    tracemalloc.start()
-    try:
-        engine = ScenarioEngine(get_scenario("city-day"), devices, seed=0,
-                                substrate="streaming", events_per_device=1.0,
-                                active_cap=256)
-        engine.run()
-        _, streaming_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-
-    assert streaming_peak < eager_peak, (
-        f"streaming ({streaming_peak:,} B) should undercut eager "
-        f"({eager_peak:,} B)")
+    print(f"\npopulation memory: {devices:,} devices -> {peak:,} B peak "
+          f"({per_device:.1f} B/device)")

@@ -542,11 +542,10 @@ def run_all(*, quick: bool = False) -> dict:
 
 
 def bench_scenario(name: str, devices: int, *, seed: int = 0,
-                   substrate: str = "streaming", scheduler: str = "wheel",
+                   scheduler: str = "wheel",
                    sim_seconds: float | None = None,
                    events_per_device: float | None = None,
-                   active_cap: int = 4096, sink: str = "stats",
-                   chaos: bool = False) -> dict:
+                   sink: str = "stats", chaos: bool = False) -> dict:
     """Run one named population scenario as a benchmark datapoint.
 
     The scenario engine already measures wall time and counts events;
@@ -557,10 +556,10 @@ def bench_scenario(name: str, devices: int, *, seed: int = 0,
     """
     from repro.scenarios import run_scenario
 
-    report = run_scenario(name, devices, seed=seed, substrate=substrate,
-                          scheduler=scheduler, sim_seconds=sim_seconds,
-                          events_per_device=events_per_device,
-                          active_cap=active_cap, sink=sink, chaos=chaos)
+    report = run_scenario(name, devices, seed=seed, scheduler=scheduler,
+                          sim_seconds=sim_seconds,
+                          events_per_device=events_per_device, sink=sink,
+                          chaos=chaos)
     return {
         "run_at": time.time(),
         "quick": False,
@@ -574,8 +573,7 @@ def format_scenario_summary(entry: dict) -> str:
     report = entry["scenario"]
     labels = entry["labels"]
     lines = [f"scenario {labels['scenario']} "
-             f"({labels['population']:,} devices, "
-             f"{report['substrate']}/{report['scheduler']})"]
+             f"({labels['population']:,} devices, {report['scheduler']})"]
     lines.append(
         f"  events   {report['events']:,} in {report['wall_s']:.2f} wall-s "
         f"({report['events_per_wall_s']:,.0f} events/s, horizon "
@@ -587,12 +585,8 @@ def format_scenario_summary(entry: dict) -> str:
         f"{report['dropped']:,} dropped "
         f"({report['flushes']} reconnect flushes)")
     lines.append(
-        f"  memory   peak {report['peak_active']:,} resident devices "
-        f"(cap {report['active_cap']:,}), cold store "
-        f"{report['store_bytes']:,} B "
-        f"({report['store_bytes_per_device']:.0f} B/device), "
-        f"{report['hibernations']:,} hibernations / "
-        f"{report['rehydrations']:,} rehydrations")
+        f"  memory   device columns {report['store_bytes']:,} B "
+        f"({report['store_bytes_per_device']:.0f} B/device)")
     if report["cascade_actions"]:
         lines.append(f"  cascade  {report['cascade_actions']:,} OSN actions "
                      f"({report['cascade_skipped']} skipped)")

@@ -7,14 +7,13 @@ Two families live here:
   plumbing, used by the paper-figure reproductions.
 * The *population substrate* (:class:`Population`,
   :class:`ScenarioEngine`, :data:`SCENARIOS`) — streaming 100k-device
-  scenarios where devices are generated lazily from seeds and
-  hibernated to a columnar store between events.
+  scenarios where devices are generated lazily from seeds and live
+  only as rows of a columnar store that event handlers update in place.
 """
 
 from repro.scenarios.testbed import MobileNode, SenSocialTestbed
 from repro.scenarios.paris import build_paris_scenario
 from repro.scenarios.population import (
-    ActiveDevice,
     DeviceRng,
     HibernationStore,
     Population,
@@ -28,7 +27,6 @@ from repro.scenarios.engine import (
 )
 
 __all__ = [
-    "ActiveDevice",
     "DeviceRng",
     "HibernationStore",
     "MobileNode",

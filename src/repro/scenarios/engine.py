@@ -1,26 +1,20 @@
 """The scenario engine: runs a named scenario over a streaming population.
 
 One engine = one world + one :class:`Population` + one record sink.
-Two substrates execute the *same* event program:
+Devices are admitted in index order by a single arrival pump; from then
+on a device *is* its row in the :class:`HibernationStore` — seven
+scalars (splitmix state, position, online flag, record counters) that
+every event handler reads and writes in place.  No per-device object
+exists at any point, so resident state is the 49 B/device columns plus
+one pending event per device.
 
-``streaming`` (the default)
-    Devices are materialized lazily when their arrival fires, kept in
-    a bounded LRU of :class:`ActiveDevice` flyweights, and hibernated
-    back into the columnar store when the resident set exceeds
-    ``active_cap`` — resident state is O(cap), not O(population).
-``eager``
-    Every device object is materialized up front and never hibernated
-    — the old-world memory shape, kept as the identity baseline.
-
-Both substrates issue the *identical sequence of scheduler calls*
-(one arrival pump admitting devices in index order; every device event
-draws only from that device's own counter RNG), so event ``seq``
-assignment — and therefore firing order, even on exact-time ties — is
-bit-identical.  Hibernation round-trips device state exactly (doubles
-and 64-bit ints through typed arrays), so a 50-device eager run and a
-50-device streaming run with a tiny ``active_cap`` produce the same
-docstore fingerprint, the same delivery order and the same terminal
-accounting — ``tests/test_population.py`` pins this.
+Every device event draws only from that device's own splitmix64 state
+(bearing, step, the connectivity draw when the scenario has one, the
+next gap, in that order) and writes the state back once, so runs are
+deterministic per ``(scenario, devices, seed)`` and identical on the
+heap and on the calendar wheel.  ``tests/test_population.py`` pins the
+docstore fingerprint, the delivery order and the record counters of
+every scenario.
 
 The engine's accounting invariant, checked by :meth:`verify`::
 
@@ -31,17 +25,18 @@ from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
 from hashlib import blake2b
 
 from repro.scenarios.library import ScenarioSpec
 from repro.scenarios.population import (
-    ActiveDevice,
+    _GOLDEN,
+    _MASK64,
     DeviceRng,
     HibernationStore,
     Population,
     hash64,
     hash_unit,
+    mix64,
 )
 from repro.simkit.errors import SimulationError
 from repro.simkit.world import World
@@ -52,6 +47,9 @@ MAX_ROAM_DEG = 0.05
 STEP_DEG = 0.004
 #: Extra virtual time after the horizon for in-flight deliveries.
 DRAIN_S = 60.0
+
+_TWO_PI = 2.0 * math.pi
+_UNIT = 2.0 ** 64
 
 
 class StatsSink:
@@ -144,38 +142,39 @@ class ServerSink:
 
 
 class ScenarioEngine:
-    """Execute one :class:`ScenarioSpec` over a device population."""
+    """Execute one :class:`ScenarioSpec` over a device population.
+
+    ``substrate`` and ``active_cap`` are accepted for compatibility and
+    have no effect: ``"streaming"`` is the only substrate, and no
+    resident device set exists to cap.
+    """
 
     def __init__(self, spec: ScenarioSpec, devices: int, *, seed: int = 0,
                  substrate: str = "streaming", scheduler: str = "heap",
                  sink: str = "stats", sim_seconds: float | None = None,
                  events_per_device: float | None = None,
                  active_cap: int = 4096, chaos: bool = False):
-        if substrate not in ("streaming", "eager"):
+        if substrate == "eager":
             raise SimulationError(
-                f"unknown substrate {substrate!r}; expected 'streaming' "
-                f"or 'eager'")
-        if active_cap < 1:
+                "the eager substrate was removed: device state lives only "
+                "in the columnar store; use substrate='streaming'")
+        if substrate != "streaming":
             raise SimulationError(
-                f"active cap must be >= 1, got {active_cap}")
+                f"unknown substrate {substrate!r}; expected 'streaming'")
         if chaos and spec.chaos is None:
             raise SimulationError(
                 f"scenario {spec.name!r} has no chaos episode")
         self.spec = spec
-        self.substrate = substrate
         self.scheduler_kind = scheduler
         self.seed = seed
         self.chaos = chaos
         self.horizon = float(sim_seconds or spec.horizon_s)
         self.events_per_device = float(
             events_per_device or spec.events_per_device)
-        self.active_cap = active_cap
         self.world = World(seed=seed, scheduler=scheduler)
         self.population = Population(devices, seed)
         self.store = HibernationStore()
-        self._active: "OrderedDict[int, ActiveDevice]" = OrderedDict()
         self._admitted = 0
-        self.peak_active = 0
         self.delivered = 0
         self.flushes = 0
         self.cascade_actions = 0
@@ -190,45 +189,9 @@ class ScenarioEngine:
             raise SimulationError(
                 f"unknown sink {sink!r}; expected 'stats' or 'server'")
         self._mean_gap = self.horizon / self.events_per_device
-        if substrate == "eager":
-            # The old-world shape: every device resident from t=0.  The
-            # arrival pump still fires identically — it just finds the
-            # object already alive instead of admitting it.
-            for index in range(devices):
-                state = self.population.initial_state(index)
-                self.store.append_initial(*state)
-                self._active[index] = ActiveDevice(index, *state)
+        # One bound method shared by every pending device event.
+        self._device_event = self._device_event
         self._started = False
-
-    # -- residency -----------------------------------------------------
-
-    def _touch(self, index: int) -> ActiveDevice:
-        """The resident device for ``index`` — rehydrating on a miss."""
-        device = self._active.get(index)
-        if device is not None:
-            self._active.move_to_end(index)
-            return device
-        device = self.store.rehydrate(index)
-        self._active[index] = device
-        return device
-
-    def _settle(self, current: int) -> None:
-        """Enforce the residency cap after an event (streaming only)."""
-        if self.substrate == "eager":
-            return
-        while len(self._active) > self.active_cap:
-            index, device = self._active.popitem(last=False)
-            if index == current:
-                # Never evict the device that just fired; re-admit it
-                # as most-recent and keep sweeping.
-                self._active[index] = device
-                self._active.move_to_end(index)
-                if len(self._active) <= 1:
-                    break
-                continue
-            self.store.hibernate(device)
-        if len(self._active) > self.peak_active:
-            self.peak_active = len(self._active)
 
     # -- the arrival pump ----------------------------------------------
 
@@ -247,10 +210,8 @@ class ScenarioEngine:
     def _pump(self, index: int) -> None:
         """Admit device ``index`` and fire its first event — then chain
         to the next arrival.  One pump event per device, in index
-        order: the single place the two substrates could diverge in
-        scheduler-call order, so they share it exactly."""
-        if self.substrate == "streaming":
-            self.store.append_initial(*self.population.initial_state(index))
+        order, so the device's row is appended at ``index``."""
+        self.store.append_initial(*self.population.initial_state(index))
         self._admitted += 1
         self._device_event(index)
         nxt = index + 1
@@ -281,94 +242,99 @@ class ScenarioEngine:
             return False
         return hash_unit(self.seed, 0xC4A0, index) < episode.fraction
 
-    def _connectivity_step(self, device: ActiveDevice, now: float) -> bool:
-        """Advance the device's link state; returns True on reconnect
-        (the caller then flushes the carry buffer)."""
-        spec = self.spec.connectivity
-        came_online = False
-        if spec is not None:
-            # One draw per event regardless of state keeps the per-device
-            # RNG sequence a function of event count alone.
-            draw = device.rng.random()
-            if device.online:
-                if draw < spec.offline_probability:
-                    device.online = False
-            elif draw < spec.reconnect_probability:
-                device.online = True
-                came_online = True
-        if self._chaos_partitioned(device.index, now):
-            if came_online:
-                came_online = False
-            device.online = False
-        elif self.chaos and not device.online and spec is not None \
-                and self.spec.chaos is not None \
-                and now / self.horizon >= self.spec.chaos.end_frac:
-            # The partition window is over: partitioned devices rejoin
-            # at their first event past the window.
-            device.online = True
-            came_online = True
-        return came_online
-
-    def _emit(self, device: ActiveDevice, now: float, modality: str,
+    def _emit(self, index: int, now: float, modality: str,
               value: dict) -> None:
-        record_id = f"r{device.index}-{device.emitted}"
-        device.emitted += 1
-        if device.online:
+        store = self.store
+        emitted = store._emitted[index]
+        store._emitted[index] = emitted + 1
+        record_id = f"r{index}-{emitted}"
+        if store._online[index]:
             self.delivered += 1
-            self.sink.deliver(record_id, self.population.user_id(device.index),
+            self.sink.deliver(record_id, self.population.user_id(index),
                               now, modality, value)
-        else:
-            device.buffered += 1
-            cap = self.spec.connectivity.buffer_cap \
-                if self.spec.connectivity is not None else 0
-            if cap and device.buffered > cap:
-                # Store-carry-forward with a bounded buffer: the oldest
-                # record falls off; ids stay contiguous because the
-                # buffer is always [emitted - buffered, emitted).
-                device.buffered = cap
-                device.dropped += 1
-
-    def _flush(self, device: ActiveDevice, now: float) -> None:
-        """Deliver the carried buffer in emission order."""
-        if device.buffered == 0:
             return
-        user_id = self.population.user_id(device.index)
-        for seq in range(device.emitted - device.buffered, device.emitted):
+        buffered = store._buffered[index] + 1
+        cap = self.spec.connectivity.buffer_cap \
+            if self.spec.connectivity is not None else 0
+        if cap and buffered > cap:
+            # Store-carry-forward with a bounded buffer: the oldest
+            # record falls off; ids stay contiguous because the
+            # buffer is always [emitted - buffered, emitted).
+            buffered = cap
+            store._dropped[index] += 1
+        store._buffered[index] = buffered
+
+    def _flush(self, index: int, now: float) -> None:
+        """Deliver the carried buffer in emission order."""
+        store = self.store
+        buffered = store._buffered[index]
+        if buffered == 0:
+            return
+        emitted = store._emitted[index]
+        user_id = self.population.user_id(index)
+        for seq in range(emitted - buffered, emitted):
             self.delivered += 1
-            self.sink.deliver(f"r{device.index}-{seq}", user_id, now,
+            self.sink.deliver(f"r{index}-{seq}", user_id, now,
                               "location", {"carried": True})
-        device.buffered = 0
+        store._buffered[index] = 0
         self.flushes += 1
 
     def _device_event(self, index: int) -> None:
         now = self.world.now
-        device = self._touch(index)
+        store = self.store
+        # Splitmix64 draws, advanced inline: state += golden, then mix.
+        state = (store._rng[index] + _GOLDEN) & _MASK64
+        bearing = _TWO_PI * (mix64(state) / _UNIT)
+        state = (state + _GOLDEN) & _MASK64
+        step = mix64(state) / _UNIT * STEP_DEG
         # Mobility: a bounded random walk around the home position.
-        bearing = device.rng.uniform(0.0, 2.0 * math.pi)
-        step = device.rng.random() * STEP_DEG
-        lon = device.lon + step * math.cos(bearing)
-        lat = device.lat + step * math.sin(bearing)
-        home = self.population.home_city(index)
-        if abs(lon - home.lon) < MAX_ROAM_DEG:
-            device.lon = lon
-        if abs(lat - home.lat) < MAX_ROAM_DEG:
-            device.lat = lat
-        device.record_position()
-        came_online = self._connectivity_step(device, now)
+        home_lon, home_lat = self.population.home(index)
+        lon = store._lon[index] + step * math.cos(bearing)
+        lat = store._lat[index] + step * math.sin(bearing)
+        if abs(lon - home_lon) < MAX_ROAM_DEG:
+            store._lon[index] = lon
+        if abs(lat - home_lat) < MAX_ROAM_DEG:
+            store._lat[index] = lat
+        # Link state.  One draw per event regardless of state keeps the
+        # device's sequence a function of its event count alone.
+        spec = self.spec.connectivity
+        online = store._online[index]
+        came_online = False
+        if spec is not None:
+            state = (state + _GOLDEN) & _MASK64
+            draw = mix64(state) / _UNIT
+            if online:
+                if draw < spec.offline_probability:
+                    online = 0
+            elif draw < spec.reconnect_probability:
+                online = 1
+                came_online = True
+        if self._chaos_partitioned(index, now):
+            came_online = False
+            online = 0
+        elif self.chaos and not online and spec is not None \
+                and now / self.horizon >= self.spec.chaos.end_frac:
+            # The partition window is over: partitioned devices rejoin
+            # at their first event past the window.
+            online = 1
+            came_online = True
+        store._online[index] = online
         if came_online:
-            self._flush(device, now)
-        self._emit(device, now, "location",
-                   {"lon": device.lon, "lat": device.lat})
+            self._flush(index, now)
+        self._emit(index, now, "location",
+                   {"lon": store._lon[index], "lat": store._lat[index]})
         # Next occurrence: exponential gap shaped by the rate profile
-        # and any burst the device participates in.
+        # and any burst the device participates in.  1 - u is in
+        # (0, 1]: log never sees zero.
         rate = self.spec.rate(now / self.horizon)
         if self._in_burst(index, now):
             rate *= self.spec.burst.rate_multiplier
-        gap = device.rng.expovariate(self._mean_gap / rate)
+        state = (state + _GOLDEN) & _MASK64
+        gap = -(self._mean_gap / rate) * math.log(1.0 - mix64(state) / _UNIT)
+        store._rng[index] = state
         nxt = now + gap
         if nxt <= self.horizon:
             self.world.scheduler.schedule_at(nxt, self._device_event, index)
-        self._settle(index)
 
     # -- the reshare cascade -------------------------------------------
 
@@ -397,9 +363,8 @@ class ScenarioEngine:
             self.cascade_skipped += 1
             return
         now = self.world.now
-        device = self._touch(index)
         self.cascade_actions += 1
-        self._emit(device, now, "facebook_activity",
+        self._emit(index, now, "facebook_activity",
                    {"action": "reshare", "depth": depth})
         cascade = self.spec.cascade
         if depth > 0:
@@ -412,7 +377,6 @@ class ScenarioEngine:
                     if nxt <= self.horizon:
                         self.world.scheduler.schedule_at(
                             nxt, self._cascade_post, friend, depth - 1)
-        self._settle(index)
 
     # -- run & report --------------------------------------------------
 
@@ -424,20 +388,10 @@ class ScenarioEngine:
         wall = time.perf_counter() - wall_start
         return self.report(wall_s=wall)
 
-    def _sync_accounting(self) -> None:
-        """Write every resident device's scalars back to the columns so
-        the columnar totals cover the whole population."""
-        for device in self._active.values():
-            self.store.writeback(device)
-
     def report(self, wall_s: float | None = None) -> dict:
-        self._sync_accounting()
-        if len(self._active) > self.peak_active:
-            self.peak_active = len(self._active)
         events = self.world.scheduler.events_processed
         report = {
             "scenario": self.spec.name,
-            "substrate": self.substrate,
             "scheduler": self.scheduler_kind,
             "devices": self.population.size,
             "horizon_s": self.horizon,
@@ -451,10 +405,6 @@ class ScenarioEngine:
             "flushes": self.flushes,
             "cascade_actions": self.cascade_actions,
             "cascade_skipped": self.cascade_skipped,
-            "peak_active": self.peak_active,
-            "active_cap": self.active_cap,
-            "hibernations": self.store.hibernations,
-            "rehydrations": self.store.rehydrations,
             "store_bytes": self.store.nbytes(),
             "store_bytes_per_device": self.store.nbytes()
             / max(1, len(self.store)),
@@ -467,7 +417,6 @@ class ScenarioEngine:
 
     def verify(self) -> list[str]:
         """Accounting invariants; an empty list means all hold."""
-        self._sync_accounting()
         problems = []
         emitted = self.store.emitted_total()
         buffered = self.store.buffered_total()
@@ -485,11 +434,6 @@ class ScenarioEngine:
             problems.append(
                 f"sink saw {self.sink.delivered} deliveries, engine "
                 f"counted {self.delivered}")
-        if self.substrate == "streaming" \
-                and len(self._active) > self.active_cap:
-            problems.append(
-                f"residency cap violated: {len(self._active)} active > "
-                f"cap {self.active_cap}")
         return problems
 
 

@@ -106,8 +106,8 @@ class ScenarioSpec:
 
     def arrival_time(self, index: int, size: int, horizon: float) -> float:
         """Activation instant of device ``index`` — monotone in index,
-        so device index *is* arrival rank (the property the columnar
-        hibernation store indexes by)."""
+        so device index *is* arrival rank (the property the device
+        columns are indexed by)."""
         quantile = (index + 0.5) / size
         return horizon * self.arrival_fraction \
             * quantile ** self.arrival_exponent

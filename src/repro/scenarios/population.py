@@ -8,27 +8,26 @@ the population-scale substrate underneath the scenario library
 * :class:`Population` — a *generator*, not a container.  Every
   device's initial state, home city, mobility and social edges derive
   from ``(seed, index)`` through a counter-based splitmix64 hash, so
-  device #73942 can be conjured (or re-conjured) in O(1) without ever
-  enumerating the other 99 999 devices.  The social graph is streamed
-  the same way: ``friends(i)`` is computed from the community layout,
-  never stored.
-* :class:`DeviceRng` — a 8-byte counter PRNG per device.  A
-  ``random.Random`` instance costs ~2.5 KB of Mersenne state; hibernating
-  one per device would dwarf the device itself.  Splitmix64 state is a
-  single machine word and round-trips losslessly through the columnar
-  store, which is what makes eager and streaming substrates
-  bit-identical.
-* :class:`HibernationStore` — struct-of-arrays cold storage.  A
-  hibernated device is seven scalars in parallel ``array`` columns
-  (~57 bytes); rehydration rebuilds the :class:`ActiveDevice` flyweight
-  from those scalars plus derived data (friends, city) that is
-  recomputed, never persisted.
+  device #73942 can be conjured in O(1) without ever enumerating the
+  other 99 999 devices.  The social graph is streamed the same way:
+  ``friends(i)`` is computed from the community layout, never stored.
+* Splitmix64 counter RNGs — one 64-bit word of state per device.  A
+  ``random.Random`` instance costs ~2.5 KB of Mersenne state; a
+  splitmix state is a single machine word that lives in a typed column.
+  :class:`DeviceRng` wraps one for callers that want an object.
+* :class:`HibernationStore` — struct-of-arrays device state.  A device
+  is seven scalars in parallel ``array`` columns (49 bytes), and those
+  columns are the *only* copy: the scenario engine reads and writes
+  them in place, event by event.  Derived data (friends, home city) is
+  recomputed, never stored.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from functools import cached_property
+from typing import Callable
 
 from repro.device.mobility import City, CityRegistry
 from repro.simkit.errors import SimulationError
@@ -37,23 +36,47 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def mix64(state: int) -> int:
+    """Splitmix64's output function: the draw for an advanced state."""
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def splitmix64(state: int) -> tuple[int, int]:
     """One splitmix64 step: ``(next_state, output)``."""
     state = (state + _GOLDEN) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
+    return state, mix64(state)
+
+
+def _absorb(parts: tuple[int, ...]) -> int:
+    """Fold ``parts`` into a hash state: each is xored in, then the
+    state advances by splitmix's step."""
+    state = 0x5851F42D4C957F2D
+    for part in parts:
+        state = ((state ^ (part & _MASK64)) + _GOLDEN) & _MASK64
+    return state
 
 
 def hash64(*parts: int) -> int:
     """Stateless deterministic mix of integer parts (graph edges, home
-    cities, burst membership — anything derivable without history)."""
-    state = 0x5851F42D4C957F2D
-    for part in parts:
-        state, _ = splitmix64((state ^ (part & _MASK64)) & _MASK64)
-    _, out = splitmix64(state)
-    return out
+    cities, burst membership — anything derivable without history).
+
+    One output mix ends the fold; a mix per part would only be
+    discarded.
+    """
+    return mix64((_absorb(parts) + _GOLDEN) & _MASK64)
+
+
+def keyed_hash64(*prefix: int) -> Callable[[int], int]:
+    """``hash64(*prefix, part)`` as a function of ``part`` alone, with
+    the constant prefix folded once."""
+    state = _absorb(prefix)
+    advance = 2 * _GOLDEN   # the last part's fold step, then the mix's
+
+    def hash_last(part: int) -> int:
+        return mix64(((state ^ (part & _MASK64)) + advance) & _MASK64)
+    return hash_last
 
 
 def hash_unit(*parts: int) -> float:
@@ -88,18 +111,12 @@ class DeviceRng:
 
 
 class ActiveDevice:
-    """The resident (hot) form of one device.
-
-    Everything needed to continue the simulation is scalar and
-    round-trips through :class:`HibernationStore` exactly; ``trace``
-    (the recent mobility trail) and ``friends`` are resident-only
-    derived state, dropped on hibernation and rebuilt on demand.
-    """
+    """One device's scalars as an object — what
+    :meth:`HibernationStore.rehydrate` returns.  The scenario engine
+    never builds one; it works on the store's columns directly."""
 
     __slots__ = ("index", "rng", "lon", "lat", "online", "emitted",
-                 "buffered", "dropped", "trace", "_friends")
-
-    TRACE_KEEP = 4
+                 "buffered", "dropped")
 
     def __init__(self, index: int, rng_state: int, lon: float, lat: float,
                  online: bool = True, emitted: int = 0, buffered: int = 0,
@@ -112,30 +129,18 @@ class ActiveDevice:
         self.emitted = emitted
         self.buffered = buffered
         self.dropped = dropped
-        #: Recent positions — the streaming "mobility trace": only the
-        #: resident window exists; history is never materialized.
-        self.trace: list[tuple[float, float]] = []
-        self._friends: tuple[int, ...] | None = None
-
-    def record_position(self) -> None:
-        self.trace.append((self.lon, self.lat))
-        if len(self.trace) > self.TRACE_KEEP:
-            del self.trace[0]
-
-    def friends(self, population: "Population") -> tuple[int, ...]:
-        if self._friends is None:
-            self._friends = population.friends(self.index)
-        return self._friends
 
 
 class HibernationStore:
-    """Columnar (struct-of-arrays) cold storage for hibernated devices.
+    """Columnar (struct-of-arrays) device state.
 
     Devices activate in index order (arrival rank == index), so the
     columns are plain appendable arrays addressed by device index — no
     per-device dict entry, no per-device object header.  Seven scalars
     per device: splitmix state, position, online flag, and the three
-    record counters.
+    record counters.  The scenario engine reads and writes the columns
+    in place; :meth:`rehydrate`/:meth:`hibernate` copy one device out to
+    an :class:`ActiveDevice` and back, and count those copies.
     """
 
     __slots__ = ("_rng", "_lon", "_lat", "_online", "_emitted",
@@ -168,9 +173,8 @@ class HibernationStore:
         return index
 
     def writeback(self, device: ActiveDevice) -> None:
-        """Write the device's scalars back into the columns (used both
-        by hibernation and by the engine's end-of-run accounting sync,
-        which must not count as a hibernation)."""
+        """Write the device's scalars back into the columns without
+        counting a hibernation."""
         index = device.index
         self._rng[index] = device.rng.state
         self._lon[index] = device.lon
@@ -234,24 +238,54 @@ class Population:
         self.cities = cities if cities is not None \
             else CityRegistry.shared_europe()
         self._city_names = self.cities.names()
+        #: ``(lon, lat)`` of each city center, in ``_city_names`` order.
         self.community_size = community_size
         self.edge_probability = edge_probability
 
     # -- devices -------------------------------------------------------
+    # Per-device hashes and the city table are built on first use, so
+    # constructing a population costs the same at any size or seed.
+
+    @cached_property
+    def _homes(self) -> tuple[tuple[float, float], ...]:
+        """``(lon, lat)`` of each city center, in ``_city_names`` order."""
+        return tuple((city.lon, city.lat) for city in
+                     map(self.cities.get, self._city_names))
+
+    @cached_property
+    def _home_hash(self) -> Callable[[int], int]:
+        return keyed_hash64(self.seed, 0xC171)
+
+    @cached_property
+    def _rng_hash(self) -> Callable[[int], int]:
+        return keyed_hash64(self.seed, 0xD1CE)
+
+    @cached_property
+    def _lon_hash(self) -> Callable[[int], int]:
+        return keyed_hash64(self.seed, 0x10A7)
+
+    @cached_property
+    def _lat_hash(self) -> Callable[[int], int]:
+        return keyed_hash64(self.seed, 0x1A70)
+
+    def _home_slot(self, index: int) -> int:
+        return self._home_hash(index) % len(self._homes)
 
     def home_city(self, index: int) -> City:
-        name = self._city_names[
-            hash64(self.seed, 0xC171, index) % len(self._city_names)]
-        return self.cities.get(name)
+        return self.cities.get(self._city_names[self._home_slot(index)])
+
+    def home(self, index: int) -> tuple[float, float]:
+        """``(lon, lat)`` of the device's home-city center."""
+        return self._homes[self._home_hash(index) % len(self._homes)]
 
     def initial_state(self, index: int) -> tuple[int, float, float]:
         """``(rng_state, lon, lat)`` for a device about to activate."""
-        city = self.home_city(index)
-        lon = city.lon + (hash_unit(self.seed, 0x10A7, index) - 0.5) \
+        home_lon, home_lat = self.home(index)
+        lon = home_lon + (self._lon_hash(index) / 2.0 ** 64 - 0.5) \
             * self.HOME_JITTER_DEG
-        lat = city.lat + (hash_unit(self.seed, 0x1A70, index) - 0.5) \
+        lat = home_lat + (self._lat_hash(index) / 2.0 ** 64 - 0.5) \
             * self.HOME_JITTER_DEG
-        return hash64(self.seed, 0xD1CE, index), lon, lat
+        return self._rng_hash(index), lon, lat
 
     def user_id(self, index: int) -> str:
         return f"p{index:06d}"
