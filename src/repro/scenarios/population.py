@@ -297,9 +297,15 @@ class Population:
         return start, min(start + self.community_size, self.size)
 
     def _edge(self, a: int, b: int) -> bool:
-        """Intra-community edge draw — symmetric by construction."""
+        """Intra-community edge draw — symmetric by construction.
+
+        The pair is one hashed part: ``hash64`` folds its parts with
+        xor and add alone, so hashing ``low`` and ``high`` separately
+        gave most communities the same edge pattern.
+        """
         low, high = (a, b) if a < b else (b, a)
-        return hash_unit(self.seed, 0xED6E, low, high) < self.edge_probability
+        return hash_unit(self.seed, 0xED6E, low * self.size + high) \
+            < self.edge_probability
 
     def friends(self, index: int) -> tuple[int, ...]:
         """Neighbours of ``index``, sorted — computed, never stored."""
