@@ -238,13 +238,12 @@ class Population:
         self.cities = cities if cities is not None \
             else CityRegistry.shared_europe()
         self._city_names = self.cities.names()
-        #: ``(lon, lat)`` of each city center, in ``_city_names`` order.
         self.community_size = community_size
         self.edge_probability = edge_probability
 
     # -- devices -------------------------------------------------------
-    # Per-device hashes and the city table are built on first use, so
-    # constructing a population costs the same at any size or seed.
+    # Per-device hashes and the city table are built on first use:
+    # engine construction stays a few constant-time assignments.
 
     @cached_property
     def _homes(self) -> tuple[tuple[float, float], ...]:
@@ -268,11 +267,9 @@ class Population:
     def _lat_hash(self) -> Callable[[int], int]:
         return keyed_hash64(self.seed, 0x1A70)
 
-    def _home_slot(self, index: int) -> int:
-        return self._home_hash(index) % len(self._homes)
-
     def home_city(self, index: int) -> City:
-        return self.cities.get(self._city_names[self._home_slot(index)])
+        return self.cities.get(self._city_names[
+            self._home_hash(index) % len(self._city_names)])
 
     def home(self, index: int) -> tuple[float, float]:
         """``(lon, lat)`` of the device's home-city center."""
@@ -299,9 +296,9 @@ class Population:
     def _edge(self, a: int, b: int) -> bool:
         """Intra-community edge draw — symmetric by construction.
 
-        The pair is one hashed part: ``hash64`` folds its parts with
-        xor and add alone, so hashing ``low`` and ``high`` separately
-        gave most communities the same edge pattern.
+        The pair must be one hashed part: ``hash64`` folds its parts
+        with xor and add alone, so two varying parts would give most
+        communities the same edge pattern.
         """
         low, high = (a, b) if a < b else (b, a)
         return hash_unit(self.seed, 0xED6E, low * self.size + high) \
