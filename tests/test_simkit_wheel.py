@@ -190,11 +190,16 @@ class TestHeapCompactionSweep:
         assert swept == clean == list(range(0, 200, 4))
 
 
+#: ``(events_processed, fingerprint_store)`` of the two-phone testbed
+#: below (seed 11, 600 sim-s), captured with both event queues.
+TESTBED_GOLDEN = (460, "6c6fa6472905b55dac7b9578e7c3d2cd")
+
+
 class TestWheelDrivesFullTestbed:
     def test_testbed_fingerprints_identical_on_wheel(self):
         """The strongest end-to-end witness: a full SenSocial testbed
-        (phones, MQTT, server ingest) run on heap vs wheel produces the
-        same event count and the same docstore fingerprint."""
+        (phones, MQTT, server ingest) produces the pinned event count
+        and docstore fingerprint on the heap and on the wheel."""
         from repro import Granularity, ModalityType, SenSocialTestbed
         from repro.durability.codec import fingerprint_store
 
@@ -209,4 +214,5 @@ class TestWheelDrivesFullTestbed:
             return (testbed.world.scheduler.events_processed,
                     fingerprint_store(testbed.server.database.store))
 
-        assert run("heap") == run("wheel")
+        assert run("heap") == TESTBED_GOLDEN
+        assert run("wheel") == TESTBED_GOLDEN
