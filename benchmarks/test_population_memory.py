@@ -37,7 +37,7 @@ MAX_PEAK_BYTES_PER_DEVICE = 400.0
 def _traced_run(devices: int) -> tuple[int, dict]:
     """Peak tracemalloc bytes over a compressed city-day run."""
     engine = ScenarioEngine(get_scenario("city-day"), devices, seed=0,
-                            scheduler="wheel", events_per_device=1.0)
+                            events_per_device=1.0)
     tracemalloc.start()
     try:
         report = engine.run()

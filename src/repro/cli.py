@@ -107,9 +107,8 @@ def _chaos_scenario(args) -> int:
     from repro.perf import bench_scenario, write_report
     from repro.perf.harness import format_scenario_summary
 
-    entry = bench_scenario(
-        args.scenario, args.devices, seed=args.seed,
-        scheduler=args.scheduler, chaos=True)
+    entry = bench_scenario(args.scenario, args.devices, seed=args.seed,
+                           chaos=True)
     print(format_scenario_summary(entry))
     report = entry["scenario"]
     problems = list(report["verify_problems"])
@@ -426,7 +425,7 @@ def _perf(args) -> int:
     if args.scenario:
         entry = bench_scenario(
             args.scenario, args.devices, seed=args.seed,
-            scheduler=args.scheduler, sim_seconds=args.sim_seconds,
+            sim_seconds=args.sim_seconds,
             events_per_device=args.events_per_device)
         print(format_scenario_summary(entry))
         failed = bool(entry["scenario"]["verify_problems"])
@@ -495,9 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "fault plan")
     chaos.add_argument("--devices", type=int, default=10_000,
                        help="population size for --scenario chaos runs")
-    chaos.add_argument("--scheduler", choices=("heap", "wheel"),
-                       default="wheel",
-                       help="event queue for --scenario chaos runs")
     chaos.add_argument("--output", default=None,
                        help="append the --scenario chaos datapoint to "
                             "this perf trajectory file")
@@ -620,9 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--devices", type=int, default=10_000,
                       help="population size for --scenario runs")
     perf.add_argument("--seed", type=int, default=0)
-    perf.add_argument("--scheduler", choices=("heap", "wheel"),
-                      default="wheel",
-                      help="event-queue backing the scenario world")
     perf.add_argument("--sim-seconds", type=float, default=None,
                       help="override the scenario's horizon (compressed "
                            "CI runs)")

@@ -542,7 +542,6 @@ def run_all(*, quick: bool = False) -> dict:
 
 
 def bench_scenario(name: str, devices: int, *, seed: int = 0,
-                   scheduler: str = "wheel",
                    sim_seconds: float | None = None,
                    events_per_device: float | None = None,
                    sink: str = "stats", chaos: bool = False) -> dict:
@@ -556,8 +555,7 @@ def bench_scenario(name: str, devices: int, *, seed: int = 0,
     """
     from repro.scenarios import run_scenario
 
-    report = run_scenario(name, devices, seed=seed, scheduler=scheduler,
-                          sim_seconds=sim_seconds,
+    report = run_scenario(name, devices, seed=seed, sim_seconds=sim_seconds,
                           events_per_device=events_per_device, sink=sink,
                           chaos=chaos)
     return {
@@ -573,7 +571,7 @@ def format_scenario_summary(entry: dict) -> str:
     report = entry["scenario"]
     labels = entry["labels"]
     lines = [f"scenario {labels['scenario']} "
-             f"({labels['population']:,} devices, {report['scheduler']})"]
+             f"({labels['population']:,} devices)"]
     lines.append(
         f"  events   {report['events']:,} in {report['wall_s']:.2f} wall-s "
         f"({report['events_per_wall_s']:,.0f} events/s, horizon "

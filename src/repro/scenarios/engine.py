@@ -11,8 +11,8 @@ one pending event per device.
 Every device event draws only from that device's own splitmix64 state
 (bearing, step, the connectivity draw when the scenario has one, the
 next gap, in that order) and writes the state back once, so runs are
-deterministic per ``(scenario, devices, seed)`` and identical on the
-heap and on the calendar wheel.  ``tests/test_population.py`` pins the
+deterministic per ``(scenario, devices, seed)``.
+``tests/test_population.py`` pins the
 docstore fingerprint, the delivery order and the record counters of
 every scenario.
 
@@ -144,13 +144,14 @@ class ServerSink:
 class ScenarioEngine:
     """Execute one :class:`ScenarioSpec` over a device population.
 
-    ``substrate`` and ``active_cap`` are accepted for compatibility and
-    have no effect: ``"streaming"`` is the only substrate, and no
-    resident device set exists to cap.
+    ``substrate``, ``scheduler`` and ``active_cap`` are accepted for
+    compatibility and have no effect: ``"streaming"`` is the only
+    substrate, the world has one event queue, and no resident device
+    set exists to cap.
     """
 
     def __init__(self, spec: ScenarioSpec, devices: int, *, seed: int = 0,
-                 substrate: str = "streaming", scheduler: str = "heap",
+                 substrate: str = "streaming", scheduler: str | None = None,
                  sink: str = "stats", sim_seconds: float | None = None,
                  events_per_device: float | None = None,
                  active_cap: int = 4096, chaos: bool = False):
@@ -165,13 +166,12 @@ class ScenarioEngine:
             raise SimulationError(
                 f"scenario {spec.name!r} has no chaos episode")
         self.spec = spec
-        self.scheduler_kind = scheduler
         self.seed = seed
         self.chaos = chaos
         self.horizon = float(sim_seconds or spec.horizon_s)
         self.events_per_device = float(
             events_per_device or spec.events_per_device)
-        self.world = World(seed=seed, scheduler=scheduler)
+        self.world = World(seed=seed)
         self.population = Population(devices, seed)
         self.store = HibernationStore()
         self._admitted = 0
@@ -392,7 +392,6 @@ class ScenarioEngine:
         events = self.world.scheduler.events_processed
         report = {
             "scenario": self.spec.name,
-            "scheduler": self.scheduler_kind,
             "devices": self.population.size,
             "horizon_s": self.horizon,
             "chaos": self.chaos,

@@ -46,7 +46,7 @@ class SenSocialTestbed:
                  location_update_period_s: float | None = 300.0,
                  observability: bool = False,
                  durability=False, shards: int | None = None,
-                 slo=False, batching=False, scheduler: str = "heap"):
+                 slo=False, batching=False):
         MobileSenSocialManager.reset_instances()
         #: Record envelope cap: ``False``/``None`` = envelopes of one;
         #: ``True`` = up to 64; an int = that cap.  Threaded to every
@@ -57,11 +57,7 @@ class SenSocialTestbed:
             self.batch_max = int(batching)
         else:
             self.batch_max = 1
-        #: ``scheduler`` selects the event-queue backing the world's
-        #: clock — ``"heap"`` or ``"wheel"`` (see
-        #: :func:`repro.simkit.world.build_event_queue`).  Firing order
-        #: is bit-identical either way.
-        self.world = World(seed=seed, scheduler=scheduler)
+        self.world = World(seed=seed)
         #: The SLO control plane needs the tracer's terminal stream.
         observability = observability or bool(slo)
         #: ``None`` deploys the classic monolithic server; an integer

@@ -24,9 +24,9 @@ class SensingConfig:
     sample_rate: float = 1.0
 
     def __post_init__(self):
-        if self.duty_cycle_s <= 0:
+        if not self.duty_cycle_s > 0:  # also rejects NaN
             raise SensorError(f"duty cycle must be > 0, got {self.duty_cycle_s}")
-        if self.sample_rate <= 0:
+        if not self.sample_rate > 0:  # also rejects NaN
             raise SensorError(f"sample rate must be > 0, got {self.sample_rate}")
 
     @classmethod

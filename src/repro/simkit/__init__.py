@@ -6,28 +6,24 @@ a :class:`World` container that wires components together.  The kernel
 is deliberately small and dependency-free so that every higher layer
 (network, MQTT broker, devices, middleware) shares one notion of time.
 
-The scheduler's pending-event store is pluggable: the default binary
-heap (:class:`HeapEventQueue`) or the calendar-queue event wheel
-(:class:`repro.simkit.wheel.CalendarEventQueue`) — select per world
-with ``World(scheduler="wheel")``.  Both fire the identical
-``(time, seq)`` total order (pinned by the equivalence oracle in
-:mod:`repro.simkit.wheel`).
+Pending events live in one binary heap of ``(time, seq, handle)``
+tuples (:class:`HeapEventQueue`), which fires the ``(time, seq)``
+total order.  ``tests/test_simkit_scheduler.py`` checks that order
+against a reference queue over randomized event programs.
 """
 
 from repro.simkit.errors import SimulationError, SchedulingError
 from repro.simkit.scheduler import (
     EventHandle,
-    EventQueue,
     HeapEventQueue,
     PeriodicTask,
     Scheduler,
 )
 from repro.simkit.randomness import RandomStreams
-from repro.simkit.world import World, build_event_queue
+from repro.simkit.world import World
 
 __all__ = [
     "EventHandle",
-    "EventQueue",
     "HeapEventQueue",
     "PeriodicTask",
     "RandomStreams",
@@ -35,5 +31,4 @@ __all__ = [
     "SchedulingError",
     "SimulationError",
     "World",
-    "build_event_queue",
 ]

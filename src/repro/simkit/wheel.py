@@ -1,274 +1,16 @@
-"""Calendar-queue event wheel: the population-scale scheduler queue.
+"""Name kept for the benchmark's layer wrapping; there is no wheel.
 
-A binary heap pays O(log n) per event over *every* pending event — at
-100k devices with one periodic sense task each, that is O(log 100000)
-per firing, and the constant keeps growing with the population.  The
-calendar queue partitions time into fixed-width buckets (``bucket id =
-floor(time / width)``); pending events live in a small per-bucket heap
-and the set of non-empty buckets is tracked in a lazy id-heap.  Every
-operation then costs O(log bucket occupancy + log non-empty buckets),
-and with a width matched to the event density the bucket occupancy
-stays a small constant no matter how large the population grows.
-
-Because buckets partition the time axis, the minimum ``(time, seq)``
-of the lowest non-empty bucket is the *global* minimum — the wheel
-pops the exact total order the heap pops, so firing order, clock reads
-and cancellation semantics are bit-identical.  That claim is not taken
-on faith: :func:`equivalence_check` drives one randomized event
-program (nested schedules, cancellations, periodic churn, ties) through
-both queues and compares the complete firing log, and
-:func:`oracle_gate` caches a self-check that
-:class:`repro.simkit.world.World` runs before honouring
-``scheduler="wheel"``.
+The scheduler has one event queue, :class:`HeapEventQueue`.
+``perfbench/layers.py`` still imports ``CalendarEventQueue`` from here
+and wraps its ``push``/``pop``/``peek``.  A subclass, unlike an alias,
+gives that wrapping its own class to patch, so ``HeapEventQueue``'s
+methods are wrapped once.
 """
 
-from __future__ import annotations
-
-import heapq
-import random
-
-from repro.simkit.errors import SimulationError
-from repro.simkit.scheduler import EventHandle, EventQueue, HeapEventQueue, Scheduler
+from repro.simkit.scheduler import HeapEventQueue
 
 
-class CalendarEventQueue(EventQueue):
-    """Fixed-width time buckets, each a small heap; a lazy id-heap
-    finds the lowest non-empty bucket.
+class CalendarEventQueue(HeapEventQueue):
+    """Never instantiated; see the module docstring."""
 
-    The width self-tunes downward: when one bucket's occupancy crosses
-    ``MAX_BUCKET`` the whole calendar is rebuilt at half the width
-    (deterministic — triggered by the same operation sequence every
-    run).  Same-instant pile-ups (a flash crowd scheduling thousands of
-    events at one time) are exempt: narrower buckets cannot split a
-    single instant, so the bucket degrades gracefully into one heap.
-    """
-
-    __slots__ = ("_buckets", "_ids", "_width", "_live", "_cancelled",
-                 "_size", "compactions", "resizes")
-
-    #: Rebuild threshold: a bucket this full (with distinct times) means
-    #: the width is too coarse for the event density.
-    MAX_BUCKET = 512
-    #: Never narrow below this — sub-microsecond buckets would make the
-    #: id-heap the new bottleneck.
-    MIN_WIDTH = 1e-6
-
-    def __init__(self, bucket_width: float = 1.0):
-        if bucket_width <= 0:
-            raise SimulationError(
-                f"bucket width must be > 0, got {bucket_width}")
-        self._buckets: dict[int, list[EventHandle]] = {}
-        self._ids: list[int] = []
-        self._width = float(bucket_width)
-        self._live = 0
-        self._cancelled = 0
-        self._size = 0
-        self.compactions = 0
-        self.resizes = 0
-
-    @property
-    def bucket_width(self) -> float:
-        return self._width
-
-    def occupied_buckets(self) -> int:
-        return len(self._buckets)
-
-    def push(self, handle: EventHandle) -> None:
-        handle.queue = self
-        bucket = self._place(handle)
-        self._live += 1
-        self._size += 1
-        if len(bucket) > self.MAX_BUCKET and self._width > self.MIN_WIDTH:
-            # Only a spread of *distinct* times benefits from narrower
-            # buckets; a same-instant pile-up stays one heap.  If the
-            # halved width still overflows, the next push to the hot
-            # bucket halves again — convergence without recursion.
-            if bucket[0].time != max(entry.time for entry in bucket):
-                self._rebuild(self._width / 2.0)
-
-    def pop(self) -> EventHandle | None:
-        handle = self._find_min(remove=True)
-        if handle is not None:
-            handle.queue = None
-            self._live -= 1
-            self._size -= 1
-        return handle
-
-    def peek(self) -> EventHandle | None:
-        return self._find_min(remove=False)
-
-    def live_count(self) -> int:
-        return self._live
-
-    def note_cancel(self) -> None:
-        self._cancelled += 1
-        self._live -= 1
-        if (self._cancelled * 2 > self._size
-                and self._size >= self.COMPACT_MIN):
-            self._compact()
-
-    # -- internals -----------------------------------------------------
-
-    def _key(self, time: float) -> int:
-        return int(time / self._width)
-
-    def _place(self, handle: EventHandle) -> list[EventHandle]:
-        """Raw insert into the bucket for ``handle.time``; returns it."""
-        key = self._key(handle.time)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = bucket = []
-            heapq.heappush(self._ids, key)
-        heapq.heappush(bucket, handle)
-        return bucket
-
-    def _find_min(self, *, remove: bool) -> EventHandle | None:
-        """The live minimum — from the lowest non-empty bucket, dropping
-        cancelled entries and stale/duplicate bucket ids on the way."""
-        while self._ids:
-            key = self._ids[0]
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                heapq.heappop(self._ids)  # stale id: bucket emptied
-                continue
-            while bucket and bucket[0].cancelled:
-                heapq.heappop(bucket).queue = None
-                self._cancelled -= 1
-                self._size -= 1
-            if not bucket:
-                del self._buckets[key]
-                heapq.heappop(self._ids)
-                continue
-            if remove:
-                handle = heapq.heappop(bucket)
-                if not bucket:
-                    del self._buckets[key]
-                    heapq.heappop(self._ids)
-                return handle
-            return bucket[0]
-        return None
-
-    def _pending(self) -> list[EventHandle]:
-        return [handle for bucket in self._buckets.values()
-                for handle in bucket if not handle.cancelled]
-
-    def _reload(self, pending: list[EventHandle]) -> None:
-        self._buckets = {}
-        self._ids = []
-        self._cancelled = 0
-        self._size = len(pending)
-        for handle in pending:
-            self._place(handle)
-
-    def _rebuild(self, width: float) -> None:
-        """Re-bucket every live event at a new width (cancelled entries
-        are dropped on the way — a rebuild is also a compaction)."""
-        pending = self._pending()
-        self._width = max(self.MIN_WIDTH, width)
-        self._reload(pending)
-        self.resizes += 1
-
-    def _compact(self) -> None:
-        self._reload(self._pending())
-        self.compactions += 1
-
-
-# -- equivalence oracle ------------------------------------------------
-
-def _drive_program(queue: EventQueue, seed: int, ops: int) -> list:
-    """One randomized event program, logged as (clock, label) pairs.
-
-    The program exercises everything the scheduler contract promises:
-    nested scheduling from inside callbacks, same-instant ties (fire in
-    scheduling order), cancellation (including cancel-after-pop no-ops
-    and periodic churn that leaks cancelled entries), and interleaved
-    ``run_until`` clock reads.
-    """
-    scheduler = Scheduler(queue=queue)
-    rng = random.Random(seed)
-    log: list = []
-    handles: list[EventHandle] = []
-    periodics = []
-
-    def fire(label: int, depth: int) -> None:
-        log.append((scheduler.now, label))
-        if depth > 0 and rng.random() < 0.6:
-            # Nested schedules, sometimes at the exact current instant
-            # (a zero delay) to force (time, seq) tie-breaking.
-            delay = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 40.0)
-            handles.append(scheduler.schedule(
-                delay, fire, rng.randrange(1000), depth - 1))
-        if handles and rng.random() < 0.3:
-            handles.pop(rng.randrange(len(handles))).cancel()
-
-    for index in range(ops):
-        at = rng.uniform(0.0, 250.0)
-        handles.append(scheduler.schedule_at(at, fire, index, 2))
-        if rng.random() < 0.15:
-            periodics.append(scheduler.every(
-                rng.uniform(0.5, 20.0), fire, 10_000 + index, 0,
-                delay=rng.uniform(0.0, 30.0)))
-        if periodics and rng.random() < 0.25:
-            periodics.pop(rng.randrange(len(periodics))).cancel()
-        if rng.random() < 0.1:
-            log.append(("peek", scheduler.peek_time()))
-    horizon = 0.0
-    while scheduler.pending_count() and horizon < 400.0:
-        horizon += rng.uniform(5.0, 50.0)
-        scheduler.run_until(horizon)
-        log.append(("clock", scheduler.now, scheduler.pending_count()))
-    for task in periodics:
-        task.cancel()
-    scheduler.run_until(horizon + 60.0)
-    log.append(("end", scheduler.now, scheduler.events_processed))
-    return log
-
-
-def equivalence_check(seed: int = 0, ops: int = 300,
-                      bucket_width: float = 1.0) -> dict:
-    """Drive one random event program through heap and wheel schedulers
-    and compare the complete firing logs.  The property suite sweeps
-    seeds; CI runs it as the wheel's admission gate."""
-    heap_log = _drive_program(HeapEventQueue(), seed, ops)
-    wheel_queue = CalendarEventQueue(bucket_width=bucket_width)
-    wheel_log = _drive_program(wheel_queue, seed, ops)
-    divergence = None
-    for index, (lhs, rhs) in enumerate(zip(heap_log, wheel_log)):
-        if lhs != rhs:
-            divergence = {"index": index, "heap": lhs, "wheel": rhs}
-            break
-    if divergence is None and len(heap_log) != len(wheel_log):
-        divergence = {"index": min(len(heap_log), len(wheel_log)),
-                      "heap": "<end>", "wheel": "<end>"}
-    return {
-        "match": divergence is None,
-        "events": len(heap_log),
-        "seed": seed,
-        "divergence": divergence,
-        "wheel_resizes": wheel_queue.resizes,
-        "wheel_compactions": wheel_queue.compactions,
-    }
-
-
-_ORACLE_VERDICT: bool | None = None
-
-
-def oracle_gate() -> bool:
-    """Once-per-process self-check gating ``scheduler="wheel"``.
-
-    Cheap (a few hundred events), cached, and loud: a mismatch raises
-    rather than letting a silently divergent wheel drive a simulation.
-    """
-    global _ORACLE_VERDICT
-    if _ORACLE_VERDICT is None:
-        report = equivalence_check(seed=7, ops=120)
-        _ORACLE_VERDICT = report["match"]
-        if not _ORACLE_VERDICT:
-            raise SimulationError(
-                f"calendar wheel failed the heap-equivalence oracle: "
-                f"{report['divergence']}")
-    elif not _ORACLE_VERDICT:
-        raise SimulationError(
-            "calendar wheel failed the heap-equivalence oracle earlier "
-            "in this process")
-    return True
+    __slots__ = ()

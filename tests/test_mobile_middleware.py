@@ -310,3 +310,18 @@ class TestRemoteManagement:
                               granularity=Granularity.RAW)
         alice.manager.handle_config_xml(config.to_xml())
         assert "foreign" not in alice.manager.streams
+
+    @pytest.mark.parametrize("duty_cycle_s", [0, float("nan")])
+    def test_pushed_nonpositive_duty_cycle_rejected(self, testbed, alice,
+                                                    duty_cycle_s):
+        # The XML carries settings as JSON, so "NaN" arrives as a float
+        # NaN and must meet the same check as 0.
+        from repro.core.common import StreamConfig
+        from repro.device import SensorError
+        config = StreamConfig(stream_id="pushed",
+                              device_id=alice.manager.phone.device_id,
+                              modality=ModalityType.WIFI,
+                              granularity=Granularity.RAW,
+                              settings={"duty_cycle_s": duty_cycle_s})
+        with pytest.raises(SensorError, match="duty cycle must be > 0"):
+            alice.manager.handle_config_xml(config.to_xml())

@@ -7,8 +7,7 @@ eager substrate (every device object resident) and a resident LRU
 and agreed bit for bit; the column engine must reproduce them exactly.
 Witnessed through the strongest channel available: records ride the
 simulated network into a real server manager, and the docstore
-fingerprint plus the server-side delivery order are compared, on the
-heap and on the wheel.
+fingerprint plus the server-side delivery order are compared.
 """
 
 from __future__ import annotations
@@ -186,7 +185,8 @@ def _tight_dtn() -> ScenarioSpec:
 #: delivered, buffered_residual, dropped, flushes, cascade_actions and
 #: acks.  Captured while the eager substrate and the resident LRU still
 #: existed; the eager run and the streaming runs at ``active_cap`` 2 and
-#: 4096 all produced these values, on the heap and on the wheel.
+#: 4096 all produced these values, on the earlier heap and on the
+#: calendar-queue wheel that the single tuple heap replaced.
 GOLDEN = {
     "city-day": (
         "260f6af11a29a115f96e34ea13710693",
@@ -210,14 +210,13 @@ GOLDEN = {
 }
 
 
-def _observed(label: str, scheduler: str = "heap", **kwargs) -> tuple:
+def _observed(label: str, **kwargs) -> tuple:
     """Run the pinned configuration ``label`` and return its outcome in
     :data:`GOLDEN`'s field order."""
     spec = _tight_dtn() if label == "dtn-partition+tight" \
         else get_scenario(label.split("+")[0])
-    engine = ScenarioEngine(spec, 50, seed=9, scheduler=scheduler,
-                            sink="server", chaos=label.endswith("+chaos"),
-                            **kwargs)
+    engine = ScenarioEngine(spec, 50, seed=9, sink="server",
+                            chaos=label.endswith("+chaos"), **kwargs)
     report = engine.run()
     assert engine.verify() == []
     return (report["delivery_fingerprint"], report["docstore_fingerprint"],
@@ -227,7 +226,7 @@ def _observed(label: str, scheduler: str = "heap", **kwargs) -> tuple:
 
 
 class TestSubstrateIdentity:
-    """Every scenario, on heap and on wheel, against its golden pin."""
+    """Every scenario against its golden pin."""
 
     def test_city_day_eager_equals_streaming(self):
         # The pin is what the eager substrate produced.
@@ -238,24 +237,16 @@ class TestSubstrateIdentity:
         # argument is now inert and must stay so.
         assert _observed("city-day", active_cap=2) == GOLDEN["city-day"]
 
-    def test_wheel_equals_heap_on_scenario(self):
-        assert _observed("city-day", scheduler="wheel") == GOLDEN["city-day"]
-
-    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-    def test_flash_crowd_matches_golden(self, scheduler):
+    def test_flash_crowd_matches_golden(self):
         for label in ("flash-crowd", "flash-crowd+chaos"):
-            assert _observed(label, scheduler) == GOLDEN[label], label
+            assert _observed(label) == GOLDEN[label], label
 
     def test_dtn_buffering_identical_across_substrates(self):
         for label in ("dtn-partition", "dtn-partition+tight"):
-            for scheduler in ("heap", "wheel"):
-                assert _observed(label, scheduler) == GOLDEN[label], \
-                    (label, scheduler)
+            assert _observed(label) == GOLDEN[label], label
 
     def test_cascade_identical_across_substrates(self):
-        for scheduler in ("heap", "wheel"):
-            assert _observed("viral-cascade", scheduler) \
-                == GOLDEN["viral-cascade"], scheduler
+        assert _observed("viral-cascade") == GOLDEN["viral-cascade"]
 
 
 class TestScenarioLibrary:

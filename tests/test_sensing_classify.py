@@ -43,6 +43,12 @@ class TestSensingConfig:
         with pytest.raises(SensorError):
             SensingConfig(duty_cycle_s=0)
 
+    @pytest.mark.parametrize("field", ["duty_cycle_s", "sample_rate"])
+    def test_nan_setting_rejected_like_zero(self, field):
+        for value in (0.0, float("nan")):
+            with pytest.raises(SensorError):
+                SensingConfig(**{field: value})
+
 
 class TestOneOffSensing:
     def test_reading_arrives_after_sensor_window(self, world, phone, sensing):

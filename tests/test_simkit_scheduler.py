@@ -1,4 +1,16 @@
-"""Unit tests for the discrete-event scheduler."""
+"""Unit tests for the discrete-event scheduler.
+
+The load-bearing property is the firing order: pending events fire in
+``(time, seq)`` order under every scheduler behaviour — nested
+schedules, exact-time ties, cancellation (including compaction sweeps)
+and periodic churn.  :class:`TestOrderingOracle` drives randomized
+event programs through the real :class:`Scheduler` and through one
+backed by :class:`ReferenceQueue`, a list scanned with ``min()``, and
+compares the complete logs.
+"""
+
+import math
+import random
 
 import pytest
 
@@ -184,6 +196,47 @@ class TestPeriodicTasks:
             PeriodicTask(Scheduler(), 0.0, lambda: None, ())
 
 
+class TestNanRejected:
+    """NaN compares false with everything, so a ``< 0`` guard lets it
+    through; once a NaN event fires the clock reads NaN for good."""
+
+    def test_nan_delay_rejected(self):
+        with pytest.raises(SchedulingError, match="nan"):
+            Scheduler().schedule(math.nan, lambda: None)
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(SchedulingError, match="nan"):
+            Scheduler().schedule_at(math.nan, lambda: None)
+
+    def test_nan_periodic_interval_rejected(self):
+        with pytest.raises(SchedulingError):
+            Scheduler().every(math.nan, lambda: None)
+
+    def test_nan_periodic_delay_rejected(self):
+        with pytest.raises(SchedulingError):
+            Scheduler().every(1.0, lambda: None, delay=math.nan)
+
+    def test_nan_run_until_rejected(self):
+        scheduler = Scheduler()
+        with pytest.raises(SchedulingError):
+            scheduler.run_until(math.nan)
+        with pytest.raises(SchedulingError):
+            scheduler.run_for(math.nan)
+        assert scheduler.now == 0.0
+
+    def test_clock_and_order_survive_a_rejected_nan(self):
+        scheduler = Scheduler()
+        fired = []
+        for at in (6.0, 5.0):
+            scheduler.schedule_at(at, lambda: fired.append(scheduler.now))
+        with pytest.raises(SchedulingError):
+            scheduler.schedule(math.nan, lambda: fired.append("nan"))
+        scheduler.run()
+        assert fired == [5.0, 6.0]
+        with pytest.raises(SchedulingError):
+            scheduler.schedule_at(1.0, lambda: None)  # the past still is
+
+
 class TestWorld:
     def test_component_registry_round_trip(self):
         world = World()
@@ -228,3 +281,179 @@ class TestWorld:
         world = World(seed=5)
         forked = world.randoms.fork("child")
         assert forked.stream("x").random() != world.rng("x").random()
+
+
+class ReferenceQueue:
+    """Pending handles in a plain list; each pop scans it with
+    ``min()`` over ``(time, seq)``.  Deliberately not a heap."""
+
+    def __init__(self):
+        self.pending = []
+
+    def push(self, handle):
+        self.pending.append(handle)
+
+    def peek(self):
+        self.pending = [handle for handle in self.pending
+                        if not handle.cancelled]
+        return min(self.pending, key=lambda handle: (handle.time, handle.seq),
+                   default=None)
+
+    def pop(self):
+        handle = self.peek()
+        if handle is not None:
+            self.pending.remove(handle)
+        return handle
+
+    def live_count(self):
+        return sum(not handle.cancelled for handle in self.pending)
+
+
+def _reference_scheduler() -> Scheduler:
+    scheduler = Scheduler()
+    scheduler._queue = ReferenceQueue()
+    return scheduler
+
+
+def _drive_program(scheduler: Scheduler, seed: int, ops: int) -> list:
+    """One randomized event program, logged as (clock, label) pairs.
+
+    The program exercises everything the scheduler contract promises:
+    nested scheduling from inside callbacks, same-instant ties (fire in
+    scheduling order), cancellation (including cancel-after-pop no-ops
+    and periodic churn that leaks cancelled entries), and interleaved
+    ``run_until`` clock reads.
+    """
+    rng = random.Random(seed)
+    log: list = []
+    handles: list = []
+    periodics = []
+
+    def fire(label: int, depth: int) -> None:
+        log.append((scheduler.now, label))
+        if depth > 0 and rng.random() < 0.6:
+            # Nested schedules, sometimes at the exact current instant
+            # (a zero delay) to force (time, seq) tie-breaking.
+            delay = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 40.0)
+            handles.append(scheduler.schedule(
+                delay, fire, rng.randrange(1000), depth - 1))
+        if handles and rng.random() < 0.3:
+            handles.pop(rng.randrange(len(handles))).cancel()
+
+    for index in range(ops):
+        # A third of the top-level events land on a 5 s grid, so
+        # many share an instant and only ``seq`` orders them.
+        at = float(rng.randrange(0, 250, 5)) if rng.random() < 0.3 \
+            else rng.uniform(0.0, 250.0)
+        handles.append(scheduler.schedule_at(at, fire, index, 2))
+        if rng.random() < 0.15:
+            periodics.append(scheduler.every(
+                rng.uniform(0.5, 20.0), fire, 10_000 + index, 0,
+                delay=rng.uniform(0.0, 30.0)))
+        if periodics and rng.random() < 0.25:
+            periodics.pop(rng.randrange(len(periodics))).cancel()
+        if rng.random() < 0.1:
+            log.append(("peek", scheduler.peek_time()))
+    horizon = 0.0
+    while scheduler.pending_count() and horizon < 400.0:
+        horizon += rng.uniform(5.0, 50.0)
+        scheduler.run_until(horizon)
+        log.append(("clock", scheduler.now, scheduler.pending_count()))
+    for task in periodics:
+        task.cancel()
+    # Drain through ``run`` (pop without a peek first) after cancelling
+    # every other tracked handle, so cancelled heads meet ``pop``.
+    scheduler.schedule(60.0, fire, -1, 2)
+    for handle in handles[::2]:
+        handle.cancel()
+    log.append(("drained", scheduler.run()))
+    log.append(("end", scheduler.now, scheduler.events_processed))
+    return log
+
+
+class TestOrderingOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_programs_fire_identically(self, seed):
+        scheduler = Scheduler()
+        log = _drive_program(scheduler, seed, ops=250)
+        assert len(log) > 100  # the program actually ran
+        assert log == _drive_program(_reference_scheduler(), seed, ops=250)
+
+
+class TestHeapCompactionSweep:
+    def test_cancelled_majority_triggers_sweep(self):
+        scheduler = Scheduler()
+        queue = scheduler.queue
+        handles = [scheduler.schedule_at(float(index), lambda: None)
+                   for index in range(128)]
+        for handle in handles[:100]:
+            handle.cancel()
+        assert queue.compactions >= 1
+        # The sweep reclaimed the bulk of the dead entries: the heap
+        # shrank well below its 128-entry physical peak.
+        assert queue.live_count() == 28
+        assert len(queue._heap) < 128
+        # Residual dead entries are bounded: below COMPACT_MIN the
+        # sweep doesn't bother, so the slack never exceeds that floor.
+        assert len(queue._heap) - queue.live_count() <= queue.COMPACT_MIN
+
+    def test_small_queues_skip_compaction(self):
+        scheduler = Scheduler()
+        handles = [scheduler.schedule_at(float(index), lambda: None)
+                   for index in range(10)]
+        for handle in handles:
+            handle.cancel()
+        assert scheduler.queue.compactions == 0  # below COMPACT_MIN
+
+    def test_periodic_churn_stays_bounded(self):
+        # The original leak: cancelling periodic tasks left their
+        # pending occurrences in the heap forever.
+        scheduler = Scheduler()
+        queue = scheduler.queue
+        for round_index in range(300):
+            task = scheduler.every(1.0, lambda: None, delay=500.0)
+            scheduler.schedule_at(float(round_index), lambda: None)
+            task.cancel()
+        assert len(queue._heap) <= 2 * queue.live_count() + queue.COMPACT_MIN
+
+    def test_firing_order_unaffected_by_sweep(self):
+        def run(with_cancels):
+            scheduler = Scheduler()
+            fired = []
+            for i in range(0, 200, 4):
+                scheduler.schedule_at(float(i), fired.append, i)
+            dead = [scheduler.schedule_at(float(i), fired.append, i)
+                    for i in range(200) if i % 4]
+            if with_cancels:
+                for handle in dead:
+                    handle.cancel()
+                assert scheduler.queue.compactions >= 1
+            scheduler.run()
+            return [label for label in fired if label % 4 == 0]
+        assert run(True) == run(False) == list(range(0, 200, 4))
+
+
+#: ``(events_processed, fingerprint_store)`` of the two-phone testbed
+#: below (seed 11, 600 sim-s).  Captured while a calendar-queue wheel
+#: and the earlier heap of handles both still existed and agreed.
+TESTBED_GOLDEN = (460, "6c6fa6472905b55dac7b9578e7c3d2cd")
+
+
+class TestFullTestbed:
+    def test_testbed_matches_golden(self):
+        """The strongest end-to-end witness: a full SenSocial testbed
+        (phones, MQTT, server ingest) produces the pinned event count
+        and docstore fingerprint."""
+        from repro import Granularity, ModalityType, SenSocialTestbed
+        from repro.durability.codec import fingerprint_store
+
+        testbed = SenSocialTestbed(seed=11)
+        for index, city in enumerate(("Paris", "Bordeaux")):
+            node = testbed.add_user(f"user{index}", home_city=city)
+            node.manager.create_stream(ModalityType.ACCELEROMETER,
+                                       Granularity.CLASSIFIED,
+                                       send_to_server=True)
+        testbed.run(600.0)
+        assert (testbed.world.scheduler.events_processed,
+                fingerprint_store(testbed.server.database.store)) \
+            == TESTBED_GOLDEN
