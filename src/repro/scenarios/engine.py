@@ -12,9 +12,8 @@ Every device event draws only from that device's own splitmix64 state
 (bearing, step, the connectivity draw when the scenario has one, the
 next gap, in that order) and writes the state back once, so runs are
 deterministic per ``(scenario, devices, seed)``.
-``tests/test_population.py`` pins the
-docstore fingerprint, the delivery order and the record counters of
-every scenario.
+``tests/test_population.py`` pins the docstore fingerprint, the
+delivery order and the record counters of every scenario.
 
 The engine's accounting invariant, checked by :meth:`verify`::
 

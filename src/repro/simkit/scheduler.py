@@ -190,9 +190,7 @@ class Scheduler:
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
         if not delay >= 0:  # also rejects NaN
-            raise SchedulingError(f"cannot schedule {delay:.6f}s in the past"
-                                  if delay < 0 else
-                                  f"delay must be a number, got {delay!r}")
+            raise SchedulingError(f"delay must be >= 0 s, got {delay!r}")
         return self.schedule_at(self._now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:

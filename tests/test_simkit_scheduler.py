@@ -212,10 +212,6 @@ class TestNanRejected:
         with pytest.raises(SchedulingError):
             Scheduler().every(math.nan, lambda: None)
 
-    def test_nan_periodic_delay_rejected(self):
-        with pytest.raises(SchedulingError):
-            Scheduler().every(1.0, lambda: None, delay=math.nan)
-
     def test_nan_run_until_rejected(self):
         scheduler = Scheduler()
         with pytest.raises(SchedulingError):
