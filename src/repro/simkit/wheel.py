@@ -12,5 +12,3 @@ from repro.simkit.scheduler import HeapEventQueue
 
 class CalendarEventQueue(HeapEventQueue):
     """Never instantiated; see the module docstring."""
-
-    __slots__ = ()

@@ -281,7 +281,8 @@ class TestWorld:
 
 class ReferenceQueue:
     """Pending handles in a plain list; each pop scans it with
-    ``min()`` over ``(time, seq)``.  Deliberately not a heap."""
+    ``min()`` over ``(time, seq)``.  Deliberately not a heap.  ``push``
+    leaves ``handle.queue`` unset, so a cancel never calls back here."""
 
     def __init__(self):
         self.pending = []
